@@ -125,7 +125,10 @@ pub fn run(tokens: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         if dp_runs == 0 {
             "warm .opart, zero DP runs".to_string()
         } else {
-            format!("{dp_runs} DP runs")
+            format!(
+                "{dp_runs} DP runs, {:.1} ms per DP",
+                elapsed.as_secs_f64() * 1e3 / dp_runs as f64
+            )
         }
     )?;
     Ok(())
@@ -150,6 +153,7 @@ mod tests {
         assert!(text.contains("significant"), "{text}");
         assert!(text.contains("sweep grid (5 points)"), "{text}");
         assert!(text.contains("DP runs"), "{text}");
+        assert!(text.contains("ms per DP"), "{text}");
         std::fs::remove_file(&p).ok();
     }
 

@@ -10,10 +10,12 @@
 //!
 //! Unlike rayon there is no work-stealing pool: each combinator evaluates
 //! eagerly by splitting its input into contiguous slabs over scoped
-//! threads. A global token budget bounds the total number of live worker
-//! threads so nested parallelism (the DP's fork–join over hierarchy
-//! siblings) degrades to sequential execution instead of spawning one
-//! thread per tree node.
+//! threads, so a slab split balances only when the items cost about the
+//! same (the DP therefore maps over one hierarchy height at a time, whose
+//! nodes all cost `O(|T|³)`). A global token budget bounds the total
+//! number of live worker threads, so nested or concurrent parallel calls
+//! degrade to sequential execution instead of oversubscribing the
+//! machine.
 
 #![forbid(unsafe_code)]
 
@@ -56,7 +58,7 @@ fn pay_debt(amount: usize) -> usize {
 /// Worker-token budget for a configured thread count (pure; unit-tested).
 /// `configured` is the total concurrency (`--threads N` / `OCELOTL_THREADS`),
 /// so `N = 1` means fully sequential (zero extra workers); unset falls back
-/// to two tokens per core (spares keep nested fork–join levels busy).
+/// to two tokens per core (spares keep nested parallel calls busy).
 fn tokens_for(configured: Option<usize>, cores: usize) -> usize {
     match configured {
         Some(n) => n.max(1) - 1,

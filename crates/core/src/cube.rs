@@ -29,8 +29,8 @@ use rayon::prelude::*;
 
 /// Uniform query interface over the aggregation inputs.
 ///
-/// `Sync` is a supertrait because the optimizer forks over hierarchy
-/// siblings and shares the cube across worker threads.
+/// `Sync` is a supertrait because the optimizer solves the nodes of one
+/// hierarchy height in parallel and shares the cube across worker threads.
 pub trait QualityCube: Sync {
     /// The spatial hierarchy.
     fn hierarchy(&self) -> &Hierarchy;

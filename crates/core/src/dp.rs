@@ -1,8 +1,8 @@
 //! Algorithm 1: the spatiotemporal aggregation dynamic program (§III.E).
 //!
-//! For each node of the hierarchy (post-order) and each interval `[i, j]`
-//! (outer loop `i` descending, inner loop `j` ascending), the algorithm
-//! compares:
+//! For each node of the hierarchy (children before parents) and each
+//! interval `[i, j]` (outer loop `i` descending, inner loop `j` ascending),
+//! the algorithm compares:
 //!
 //! 1. **no cut** — the pIC of keeping `(S_k, T_(i,j))` as one aggregate;
 //! 2. **spatial cut** — the sum of the children's optimal pICs on `[i, j]`;
@@ -14,6 +14,25 @@
 //! determines a hierarchy-and-order-consistent partition maximizing the
 //! criterion. Time `O(|S||T|³)`, space `O(|S||T|²)`.
 //!
+//! **Schedule.** A node depends only on its children, so [`aggregate`]
+//! solves the hierarchy one *height* at a time (leaves at height 0): every
+//! node of one height is independent of the others, and all of them cost
+//! the same `O(|T|³)`. With [`DpConfig::parallel`] each height is one
+//! order-preserving parallel map, whose contiguous slabs are then balanced
+//! whatever the shape of the tree; without it the same loop runs
+//! sequentially. The schedule never changes a result bit: each node's
+//! matrices are computed by the same code from the same inputs.
+//!
+//! **Kernel.** The temporal-cut scan of cell `[i, j]` pairs `pIC[i, k]`
+//! (row `i`, row-major [`TriMatrix`]) with `pIC[k+1, j]` (column `j`, a
+//! column-major mirror), so both operands are contiguous
+//! slices. Candidates are summed in chunks of eight; a chunk is scanned with
+//! the scalar rule only if one of its sums (equivalently, its NaN-ignoring
+//! maximum) passes the adoption test against the running best. The running
+//! best never decreases within a cell, so a chunk none of whose sums passes
+//! holds no candidate the scalar scan would adopt: the pruned scan picks
+//! exactly the cut, pIC and count the full scan picks, for both tie modes.
+//!
 //! Deviations from the paper's pseudocode, both documented in DESIGN.md:
 //! the pseudocode's inner comparison uses a strict `>`, which is kept, but a
 //! small tolerance `epsilon` biases ties toward the coarser representation
@@ -22,10 +41,9 @@
 
 use crate::cube::QualityCube;
 use crate::partition::{Area, Partition};
-use crate::tri::TriMatrix;
-use ocelotl_trace::NodeId;
+use crate::tri::{TriColumns, TriMatrix};
+use ocelotl_trace::{Hierarchy, NodeId};
 use rayon::prelude::*;
-use std::sync::OnceLock;
 
 /// Decoded cut decision for one spatiotemporal area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +74,7 @@ pub struct DpConfig {
     /// Tie tolerance: a cut is adopted only if it improves the pIC by more
     /// than this amount (biases ties toward coarser aggregates).
     pub epsilon: f64,
-    /// Process hierarchy siblings in parallel with rayon.
+    /// Solve the nodes of each hierarchy height in parallel with rayon.
     pub parallel: bool,
     /// Among pIC-equal choices (within `epsilon`), prefer the cut whose
     /// optimal subpartition uses *fewer aggregates*.
@@ -161,95 +179,97 @@ impl CutTree {
     }
 }
 
+/// One solved node: cut values, optimal pICs and aggregate counts.
+type NodeResult = (TriMatrix<i32>, TriMatrix<f64>, TriMatrix<u32>);
+
 /// Run Algorithm 1 on any quality cube for trade-off `p`.
 pub fn aggregate<C: QualityCube>(input: &C, p: f64, config: &DpConfig) -> CutTree {
     assert!((0.0..=1.0).contains(&p), "p must lie in [0, 1], got {p}");
     let h = input.hierarchy();
-    let n_nodes = h.len();
     let n_slices = input.n_slices();
 
-    type NodeResult = (TriMatrix<i32>, TriMatrix<f64>, TriMatrix<u32>);
-
-    if config.parallel {
-        // Children of a node are independent subproblems: solve them with a
-        // parallel fork–join recursion. Results land in per-node OnceLocks
-        // (each node is written exactly once, after its children).
-        let solved: Vec<OnceLock<NodeResult>> = (0..n_nodes).map(|_| OnceLock::new()).collect();
-
-        fn solve<C: QualityCube>(
-            node: NodeId,
-            input: &C,
-            p: f64,
-            config: &DpConfig,
-            solved: &[OnceLock<NodeResult>],
-        ) {
-            let children = input.hierarchy().children(node);
-            children
-                .par_iter()
-                .for_each(|&c| solve(c, input, p, config, solved));
-            let child_results: Vec<&NodeResult> = children
-                .iter()
-                .map(|c| solved[c.index()].get().expect("child solved"))
-                .collect();
-            let child_pics: Vec<&TriMatrix<f64>> = child_results.iter().map(|r| &r.1).collect();
-            let child_counts: Vec<&TriMatrix<u32>> = child_results.iter().map(|r| &r.2).collect();
-            let result = solve_node(input, node, p, config, &child_pics, &child_counts);
-            solved[node.index()].set(result).expect("node solved once");
-        }
-
-        solve(h.root(), input, p, config, &solved);
-
-        let mut cuts = Vec::with_capacity(n_nodes);
-        let mut pic = Vec::with_capacity(n_nodes);
-        let mut counts = Vec::with_capacity(n_nodes);
-        for cell in solved {
-            let (c, q, n) = cell.into_inner().unwrap();
-            cuts.push(c);
-            pic.push(q);
-            counts.push(n);
-        }
-        CutTree {
-            p,
-            cuts,
-            pic,
-            counts,
-            n_slices,
-        }
-    } else {
-        let mut results: Vec<Option<NodeResult>> = vec![None; n_nodes];
-        for &node in h.post_order() {
-            let child_results: Vec<_> = h
+    let mut solved: Vec<Option<NodeResult>> = (0..h.len()).map(|_| None).collect();
+    for level in height_levels(h) {
+        let done = &solved;
+        let solve = |node: NodeId| {
+            let children: Vec<&NodeResult> = h
                 .children(node)
                 .iter()
-                .map(|c| results[c.index()].as_ref().expect("post-order"))
+                .map(|c| {
+                    done[c.index()]
+                        .as_ref()
+                        .expect("a child sits at a lower height")
+                })
                 .collect();
-            let child_pics: Vec<&TriMatrix<f64>> = child_results.iter().map(|r| &r.1).collect();
-            let child_counts: Vec<&TriMatrix<u32>> = child_results.iter().map(|r| &r.2).collect();
-            let result = solve_node(input, node, p, config, &child_pics, &child_counts);
-            results[node.index()] = Some(result);
-        }
-        let mut cuts = Vec::with_capacity(n_nodes);
-        let mut pic = Vec::with_capacity(n_nodes);
-        let mut counts = Vec::with_capacity(n_nodes);
-        for cell in results {
-            let (c, q, n) = cell.unwrap();
-            cuts.push(c);
-            pic.push(q);
-            counts.push(n);
-        }
-        CutTree {
-            p,
-            cuts,
-            pic,
-            counts,
-            n_slices,
+            let child_pics: Vec<&TriMatrix<f64>> = children.iter().map(|r| &r.1).collect();
+            let child_counts: Vec<&TriMatrix<u32>> = children.iter().map(|r| &r.2).collect();
+            (
+                node,
+                solve_node(input, node, p, config, &child_pics, &child_counts),
+            )
+        };
+        let results: Vec<(NodeId, NodeResult)> = if config.parallel {
+            level.into_par_iter().map(solve).collect()
+        } else {
+            level.into_iter().map(solve).collect()
+        };
+        for (node, result) in results {
+            solved[node.index()] = Some(result);
         }
     }
+
+    let mut cuts = Vec::with_capacity(solved.len());
+    let mut pic = Vec::with_capacity(solved.len());
+    let mut counts = Vec::with_capacity(solved.len());
+    for cell in solved {
+        let (c, q, n) = cell.expect("every node has a height");
+        cuts.push(c);
+        pic.push(q);
+        counts.push(n);
+    }
+    CutTree {
+        p,
+        cuts,
+        pic,
+        counts,
+        n_slices,
+    }
+}
+
+/// The nodes grouped by height (leaves at 0, a parent one above its
+/// tallest child), each group in post-order.
+fn height_levels(h: &Hierarchy) -> Vec<Vec<NodeId>> {
+    let mut height = vec![0usize; h.len()];
+    let mut levels: Vec<Vec<NodeId>> = Vec::new();
+    for &node in h.post_order() {
+        let level = h
+            .children(node)
+            .iter()
+            .map(|c| height[c.index()] + 1)
+            .max()
+            .unwrap_or(0);
+        height[node.index()] = level;
+        if levels.len() <= level {
+            levels.resize_with(level + 1, Vec::new);
+        }
+        levels[level].push(node);
+    }
+    levels
 }
 
 /// Convenience wrapper with default configuration.
 pub fn aggregate_default<C: QualityCube>(input: &C, p: f64) -> CutTree {
     aggregate(input, p, &DpConfig::default())
+}
+
+/// Temporal-cut candidates summed per pruning chunk of the kernel.
+const CHUNK: usize = 8;
+
+/// The choice a cell has adopted so far.
+struct Best {
+    cut: i32,
+    pic: f64,
+    count: u32,
 }
 
 /// The per-node DP (cell iteration of Algorithm 1).
@@ -264,7 +284,154 @@ fn solve_node<C: QualityCube>(
     config: &DpConfig,
     child_pics: &[&TriMatrix<f64>],
     child_counts: &[&TriMatrix<u32>],
-) -> (TriMatrix<i32>, TriMatrix<f64>, TriMatrix<u32>) {
+) -> NodeResult {
+    let n = input.n_slices();
+    let eps = config.epsilon;
+    let coarse = config.prefer_coarse_ties;
+    let mut cut = TriMatrix::<i32>::new(n);
+    let mut pic_m = TriMatrix::<f64>::new(n);
+    let mut cnt_m = TriMatrix::<u32>::new(n);
+    // Column-major mirrors: the right operands `[k+1, j]` of a temporal
+    // cut run down column `j`.
+    let mut pic_c = TriColumns::<f64>::new(n);
+    let mut cnt_c = TriColumns::<u32>::new(n);
+
+    for i in (0..n).rev() {
+        let (cut_row, pic_row, cnt_row) = (cut.row_mut(i), pic_m.row_mut(i), cnt_m.row_mut(i));
+        for (width, j) in (i..n).enumerate() {
+            // No cut: the area itself as one aggregate. `gain_loss` lets a
+            // lazy cube evaluate the cell in a single pass over the states.
+            let (g, l) = input.gain_loss(node, i, j);
+            let mut best = Best {
+                cut: j as i32,
+                pic: p * g - (1.0 - p) * l,
+                count: 1,
+            };
+
+            // Spatial cut?
+            if !child_pics.is_empty() {
+                let pic_s: f64 = child_pics.iter().map(|m| m.get(i, j)).sum();
+                let cnt_s: u32 = child_counts.iter().map(|m| m.get(i, j)).sum();
+                let better = pic_s > best.pic + eps;
+                let coarser_tie = coarse && cnt_s < best.count && (pic_s - best.pic).abs() <= eps;
+                if better || coarser_tie {
+                    best.cut = -1;
+                    best.pic = best.pic.max(pic_s);
+                    best.count = cnt_s;
+                }
+            }
+
+            // Temporal cuts: candidate `k = i + t` pairs entry `t` of the
+            // row slice `[i, i..j)` with entry `t` of the column slice
+            // `[i+1..=j, j]`.
+            temporal_cuts(
+                &mut best,
+                i,
+                &Operands {
+                    left: &pic_row[..width],
+                    right: &pic_c.column(j)[i + 1..],
+                    left_cnt: &cnt_row[..width],
+                    right_cnt: &cnt_c.column(j)[i + 1..],
+                },
+                eps,
+                coarse,
+            );
+
+            cut_row[width] = best.cut;
+            pic_row[width] = best.pic;
+            cnt_row[width] = best.count;
+            pic_c.set(i, j, best.pic);
+            cnt_c.set(i, j, best.count);
+        }
+    }
+    (cut, pic_m, cnt_m)
+}
+
+/// The temporal-cut operands of one cell, all of the same length.
+struct Operands<'a> {
+    left: &'a [f64],
+    right: &'a [f64],
+    left_cnt: &'a [u32],
+    right_cnt: &'a [u32],
+}
+
+/// Fold the temporal cuts of a cell whose row starts at slice `i` into
+/// `best`, in ascending `k`, adopting a candidate exactly when the scalar
+/// rule of Algorithm 1 would.
+#[inline]
+fn temporal_cuts(best: &mut Best, i: usize, ops: &Operands<'_>, eps: f64, coarse: bool) {
+    let mut left = ops.left.chunks_exact(CHUNK);
+    let mut right = ops.right.chunks_exact(CHUNK);
+    let mut offset = 0;
+    for (a, b) in (&mut left).zip(&mut right) {
+        let mut sums = [0.0; CHUNK];
+        for ((s, x), y) in sums.iter_mut().zip(a).zip(b) {
+            *s = x + y;
+        }
+        chunk_cuts(best, i, offset, &sums, ops, eps, coarse);
+        offset += CHUNK;
+    }
+    let (a, b) = (left.remainder(), right.remainder());
+    if !a.is_empty() {
+        // NaN padding: a NaN sum is never adopted.
+        let mut sums = [f64::NAN; CHUNK];
+        for ((s, x), y) in sums.iter_mut().zip(a).zip(b) {
+            *s = x + y;
+        }
+        chunk_cuts(best, i, offset, &sums, ops, eps, coarse);
+    }
+}
+
+/// One chunk of candidates `k = i + offset + t`: skipped whole unless one
+/// of its sums passes the adoption test against the running best (which
+/// is what its NaN-ignoring `f64::max` would show), else scanned in `k`
+/// order with the scalar rule.
+#[inline(always)]
+fn chunk_cuts(
+    best: &mut Best,
+    i: usize,
+    offset: usize,
+    sums: &[f64; CHUNK],
+    ops: &Operands<'_>,
+    eps: f64,
+    coarse: bool,
+) {
+    // A candidate is adopted only if its sum exceeds `best + eps`, or
+    // (coarse ties) `best − eps`: `threshold` is the lower of the two.
+    let above = best.pic + eps;
+    let threshold = if coarse {
+        above.min(best.pic - eps)
+    } else {
+        above
+    };
+    // A fold, not `any`: without the early exit the test vectorizes.
+    if !sums.iter().fold(false, |hit, &s| hit | (s > threshold)) {
+        return;
+    }
+    for (t, &pic_t) in sums.iter().enumerate() {
+        let k = offset + t;
+        let cnt_t = || ops.left_cnt[k] + ops.right_cnt[k];
+        let better = pic_t > best.pic + eps;
+        let coarser_tie = coarse && pic_t > best.pic - eps && cnt_t() < best.count;
+        if better || coarser_tie {
+            best.cut = (i + k) as i32;
+            best.pic = best.pic.max(pic_t);
+            best.count = cnt_t();
+        }
+    }
+}
+
+/// The scalar per-node DP the kernel replaced, kept as the oracle the
+/// kernel is tested against.
+#[cfg(test)]
+fn solve_node_scalar<C: QualityCube>(
+    input: &C,
+    node: NodeId,
+    p: f64,
+    config: &DpConfig,
+    child_pics: &[&TriMatrix<f64>],
+    child_counts: &[&TriMatrix<u32>],
+) -> NodeResult {
     let n = input.n_slices();
     let eps = config.epsilon;
     let coarse = config.prefer_coarse_ties;
@@ -274,14 +441,11 @@ fn solve_node<C: QualityCube>(
 
     for i in (0..n).rev() {
         for j in i..n {
-            // No cut: the area itself as one aggregate. `gain_loss` lets a
-            // lazy cube evaluate the cell in a single pass over the states.
             let (g, l) = input.gain_loss(node, i, j);
             let mut best_cut = j as i32;
             let mut best = p * g - (1.0 - p) * l;
             let mut best_cnt = 1u32;
 
-            // Spatial cut?
             if !child_pics.is_empty() {
                 let pic_s: f64 = child_pics.iter().map(|m| m.get(i, j)).sum();
                 let cnt_s: u32 = child_counts.iter().map(|m| m.get(i, j)).sum();
@@ -294,7 +458,6 @@ fn solve_node<C: QualityCube>(
                 }
             }
 
-            // Temporal cut?
             for k in i..j {
                 let pic_t = pic_m.get(i, k) + pic_m.get(k + 1, j);
                 let better = pic_t > best + eps;
@@ -676,6 +839,212 @@ mod tests {
                     "coarse ties must not increase the area count (seed={seed} p={p})"
                 );
             }
+        }
+    }
+
+    // --- The kernel and the schedule against the scalar oracle ----------
+
+    use crate::cube::{DenseCube, LazyCube};
+    use ocelotl_trace::synthetic::SplitMix64;
+    use ocelotl_trace::{HierarchyBuilder, MicroModel, TimeGrid};
+
+    fn pick(rng: &mut SplitMix64, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    /// An unbalanced hierarchy: every node hangs under a random earlier
+    /// internal node, so depths and fan-outs vary.
+    fn random_hierarchy(rng: &mut SplitMix64, internal: usize, leaves: usize) -> Hierarchy {
+        let mut b = HierarchyBuilder::new("root", "root");
+        let mut parents = vec![b.root()];
+        for i in 0..internal {
+            let parent = parents[pick(rng, parents.len())];
+            parents.push(b.add_child(parent, &format!("n{i}"), "node"));
+        }
+        for i in 0..leaves {
+            let parent = parents[pick(rng, parents.len())];
+            b.add_child(parent, &format!("l{i}"), "leaf");
+        }
+        b.build().unwrap()
+    }
+
+    /// Random proportions on `h`. `pure` cells hold one state at 1.0, in
+    /// runs shared by groups of leaves, so nearly every choice ties;
+    /// otherwise proportions are quarter steps, so exact ties stay common.
+    fn random_model_on(
+        rng: &mut SplitMix64,
+        h: Hierarchy,
+        slices: usize,
+        pure: bool,
+    ) -> MicroModel {
+        let states = StateRegistry::from_names(["a", "b", "c"]);
+        let n = h.n_leaves();
+        let mut rho = vec![0.0f64; n * 3 * slices];
+        let runs: Vec<usize> = (0..slices).map(|_| pick(rng, 3)).collect();
+        for s in 0..n {
+            let flip = pick(rng, 3);
+            for (t, &run) in runs.iter().enumerate() {
+                if pure {
+                    let x = if s % 4 == 0 { (run + flip) % 3 } else { run };
+                    rho[(s * 3 + x) * slices + t] = 1.0;
+                } else {
+                    let mut left = 4;
+                    for x in 0..3 {
+                        let q = pick(rng, left + 1);
+                        left -= q;
+                        rho[(s * 3 + x) * slices + t] = q as f64 / 4.0;
+                    }
+                }
+            }
+        }
+        let grid = TimeGrid::new(0.0, slices as f64, slices);
+        MicroModel::from_proportions(h, states, grid, rho)
+    }
+
+    fn bits(m: &TriMatrix<f64>) -> Vec<u64> {
+        m.iter().map(|(_, _, v)| v.to_bits()).collect()
+    }
+
+    /// Solve every node with both kernels, children first, from the same
+    /// child results, and demand identical matrices node by node.
+    fn assert_kernel_matches_oracle<C: QualityCube>(
+        input: &C,
+        p: f64,
+        config: &DpConfig,
+        what: &str,
+    ) {
+        let h = input.hierarchy();
+        let mut solved: Vec<Option<NodeResult>> = vec![None; h.len()];
+        for &node in h.post_order() {
+            let children: Vec<&NodeResult> = h
+                .children(node)
+                .iter()
+                .map(|c| solved[c.index()].as_ref().unwrap())
+                .collect();
+            let pics: Vec<&TriMatrix<f64>> = children.iter().map(|r| &r.1).collect();
+            let counts: Vec<&TriMatrix<u32>> = children.iter().map(|r| &r.2).collect();
+            let fast = solve_node(input, node, p, config, &pics, &counts);
+            let oracle = solve_node_scalar(input, node, p, config, &pics, &counts);
+            assert_eq!(fast.0, oracle.0, "{what}: cuts of {node:?}");
+            assert_eq!(
+                bits(&fast.1),
+                bits(&oracle.1),
+                "{what}: pIC bits of {node:?}"
+            );
+            assert_eq!(fast.2, oracle.2, "{what}: counts of {node:?}");
+            solved[node.index()] = Some(fast);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_scalar_oracle_bit_for_bit() {
+        let mut rng = SplitMix64(0x0C31_07F1);
+        for model in 0..40 {
+            let pure = model % 4 == 3;
+            // 1..=26 slices: single cells, partial chunks, several chunks.
+            let slices = 1 + pick(&mut rng, 26);
+            let internal = pick(&mut rng, 6);
+            let leaves = 1 + pick(&mut rng, 9);
+            let h = random_hierarchy(&mut rng, internal, leaves);
+            let m = random_model_on(&mut rng, h, slices, pure);
+            let dense = DenseCube::build(&m);
+            let lazy = LazyCube::build(&m);
+            for p in [0.0, 0.1, 0.35, 0.5, 0.65, 0.9, 1.0] {
+                for config in [DpConfig::default(), DpConfig::coarse_ties()] {
+                    let what = format!(
+                        "model {model} (pure {pure}, |T| {slices}) p {p} coarse {}",
+                        config.prefer_coarse_ties
+                    );
+                    assert_kernel_matches_oracle(&dense, p, &config, &format!("dense {what}"));
+                    assert_kernel_matches_oracle(&lazy, p, &config, &format!("lazy {what}"));
+                }
+            }
+        }
+        // The hand-built all-tie model too.
+        let input = AggregationInput::build(&pure_block_model());
+        for config in [DpConfig::default(), DpConfig::coarse_ties()] {
+            assert_kernel_matches_oracle(&input, 0.35, &config, "pure block model");
+        }
+    }
+
+    /// A tree's cuts, pIC bit patterns and counts, node by node.
+    type TreeBits = (Vec<TriMatrix<i32>>, Vec<Vec<u64>>, Vec<TriMatrix<u32>>);
+
+    fn tree_bits(t: &CutTree) -> TreeBits {
+        (
+            t.cuts.clone(),
+            t.pic.iter().map(bits).collect(),
+            t.counts.clone(),
+        )
+    }
+
+    #[test]
+    fn cut_tree_is_identical_for_every_schedule_and_thread_budget() {
+        let before = rayon::max_threads();
+        let mut rng = SplitMix64(0x5EED);
+        // Case-C-like: unequal subtrees under the root.
+        let mut b = HierarchyBuilder::new("root", "root");
+        for (c, leaves) in [10, 6, 40].into_iter().enumerate() {
+            let cluster = b.add_child(b.root(), &format!("c{c}"), "cluster");
+            for l in 0..leaves {
+                b.add_child(cluster, &format!("c{c}l{l}"), "leaf");
+            }
+        }
+        let unequal = b.build().unwrap();
+        let shapes = [
+            (unequal, 14, false),
+            (random_hierarchy(&mut rng, 8, 30), 12, false),
+            (random_hierarchy(&mut rng, 5, 20), 10, true),
+        ];
+        for (h, slices, pure) in shapes {
+            let m = random_model_on(&mut rng, h, slices, pure);
+            let dense = DenseCube::build(&m);
+            let lazy = LazyCube::build(&m);
+            for config in [DpConfig::default(), DpConfig::coarse_ties()] {
+                let seq = DpConfig {
+                    parallel: false,
+                    ..config
+                };
+                for p in [0.0, 0.4, 1.0] {
+                    let expected = tree_bits(&aggregate(&dense, p, &seq));
+                    assert_eq!(tree_bits(&aggregate(&lazy, p, &seq)), expected);
+                    for threads in [1, 2, 4] {
+                        rayon::set_max_threads(threads);
+                        let what = format!(
+                            "p {p} threads {threads} coarse {}",
+                            config.prefer_coarse_ties
+                        );
+                        assert_eq!(
+                            tree_bits(&aggregate(&dense, p, &config)),
+                            expected,
+                            "dense {what}"
+                        );
+                        assert_eq!(
+                            tree_bits(&aggregate(&lazy, p, &config)),
+                            expected,
+                            "lazy {what}"
+                        );
+                    }
+                }
+            }
+        }
+        rayon::set_max_threads(before);
+    }
+
+    #[test]
+    fn heights_group_children_before_parents() {
+        let h = random_hierarchy(&mut SplitMix64(9), 7, 12);
+        let levels = height_levels(&h);
+        let mut level_of = vec![usize::MAX; h.len()];
+        for (height, nodes) in levels.iter().enumerate() {
+            for &n in nodes {
+                level_of[n.index()] = height;
+            }
+        }
+        assert_eq!(levels.iter().map(Vec::len).sum::<usize>(), h.len());
+        for n in h.node_ids() {
+            let below = h.children(n).iter().map(|c| level_of[c.index()] + 1).max();
+            assert_eq!(level_of[n.index()], below.unwrap_or(0), "{n:?}");
         }
     }
 }

@@ -32,8 +32,9 @@
 //!   `O(|X|)` queries) backends;
 //! - [`input`] — the historical [`AggregationInput`] name (= dense cube)
 //!   and the dense/lazy trade-off discussion;
-//! - [`dp`] — Algorithm 1, the `O(|S||T|³)` spatiotemporal optimizer
-//!   (sequential and fork–join parallel), generic over the cube;
+//! - [`dp`] — Algorithm 1, the `O(|S||T|³)` spatiotemporal optimizer,
+//!   generic over the cube: one height-by-height schedule (each height a
+//!   parallel map when enabled) over a pruned temporal-cut kernel;
 //! - [`partition`] — areas, partitions, validation;
 //! - [`onedim`] — the unidimensional baselines and their product (§III.D);
 //! - [`pvalues`] — significant trade-off values (the Ocelotl slider);
@@ -51,7 +52,8 @@
 //!   client (CLI, `ocelotl serve`, library) talks to;
 //! - [`visual`] — the §IV visual-aggregation pass (run engine-side so
 //!   overview replies are fully drawable);
-//! - [`tri`] — upper-triangular interval matrices.
+//! - [`tri`] — upper-triangular interval matrices (row-major, with a
+//!   column-major mirror for the DP's temporal-cut operands).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,6 +9,7 @@
 use crate::cube::QualityCube;
 use crate::dp::{aggregate, DpConfig};
 use crate::partition::Partition;
+use std::cell::Cell;
 
 /// One stability interval of the trade-off parameter.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,8 +33,22 @@ pub fn significant_partitions<C: QualityCube>(
     config: &DpConfig,
     resolution: f64,
 ) -> Vec<PEntry> {
+    significant_partitions_counted(input, config, resolution).0
+}
+
+/// [`significant_partitions`], also returning how many times the search
+/// ran Algorithm 1 (one [`aggregate`] call per probed `p`).
+pub fn significant_partitions_counted<C: QualityCube>(
+    input: &C,
+    config: &DpConfig,
+    resolution: f64,
+) -> (Vec<PEntry>, usize) {
     assert!(resolution > 0.0 && resolution < 1.0);
-    let part_at = |p: f64| aggregate(input, p, config).partition(input);
+    let runs = Cell::new(0usize);
+    let part_at = |p: f64| {
+        runs.set(runs.get() + 1);
+        aggregate(input, p, config).partition(input)
+    };
 
     let p0 = part_at(0.0);
     let p1 = part_at(1.0);
@@ -54,7 +69,7 @@ pub fn significant_partitions<C: QualityCube>(
             partition: part.clone(),
         });
     }
-    entries
+    (entries, runs.get())
 }
 
 fn explore(
@@ -136,6 +151,22 @@ mod tests {
                 "representative p={p} does not reproduce its interval's partition"
             );
         }
+    }
+
+    #[test]
+    fn counted_search_reports_every_probe() {
+        let m = fig3_model();
+        let input = AggregationInput::build(&m);
+        let cfg = DpConfig::default();
+        let (entries, runs) = significant_partitions_counted(&input, &cfg, 1e-3);
+        assert_eq!(entries, significant_partitions(&input, &cfg, 1e-3));
+        // Both ends, plus one midpoint per split of a differing interval:
+        // at least one probe per boundary between levels.
+        assert!(
+            runs >= 2 + (entries.len() - 1),
+            "{runs} runs for {} levels",
+            entries.len()
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::cube::{CubeBackend, CubeCore, MemoryMode};
 use crate::dp::{aggregate, DpConfig};
 use crate::hires::{AppendOutcome, HiResModel, LiveEvent};
 use crate::partition::Partition;
-use crate::pvalues::{significant_partitions, PEntry};
+use crate::pvalues::{significant_partitions_counted, PEntry};
 use ocelotl_trace::{event_density_auto, MicroModel, TimeGrid, Trace};
 use std::collections::HashMap;
 use std::fmt;
@@ -427,7 +427,7 @@ pub struct PointEntry {
 }
 
 /// A complete significant-levels enumeration (see
-/// [`significant_partitions`]) at one dichotomy resolution.
+/// [`significant_partitions`](crate::pvalues::significant_partitions)) at one dichotomy resolution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignificantSet {
     /// The dichotomy resolution the set was computed at.
@@ -744,8 +744,9 @@ impl AnalysisSession {
         self.active.cube_source
     }
 
-    /// Number of DP (Algorithm 1 / dichotomy) invocations this session —
-    /// zero for a fully warm session answering cached queries.
+    /// Number of Algorithm 1 runs (`aggregate` calls) this session made:
+    /// one per fresh point query, one per probe of a significant-level
+    /// search. Zero for a fully warm session answering cached queries.
     pub fn dp_runs(&self) -> usize {
         self.dp_runs.load(Ordering::Relaxed)
     }
@@ -1404,8 +1405,9 @@ impl AnalysisSession {
         let Some(cube) = self.active.cube.as_ref() else {
             return Ok(None);
         };
-        let entries = significant_partitions(cube, &DpConfig::default(), resolution);
-        self.dp_runs.fetch_add(1, Ordering::Relaxed);
+        let (entries, runs) =
+            significant_partitions_counted(cube, &DpConfig::default(), resolution);
+        self.dp_runs.fetch_add(runs, Ordering::Relaxed);
         self.active
             .table
             .write()
@@ -1557,6 +1559,21 @@ mod tests {
         // A different tie-breaking is a different query.
         let _ = s.partition_at(0.5, true).unwrap();
         assert_eq!(s.dp_runs(), 2);
+    }
+
+    #[test]
+    fn level_search_counts_every_dp_run() {
+        let mut s = session_over(fig3_model(), 1);
+        let levels = s.significant(1e-3).unwrap();
+        let runs = s.dp_runs();
+        // Both ends of [0, 1] plus at least one probe per level boundary.
+        assert!(
+            runs > levels.len(),
+            "{runs} runs for {} levels",
+            levels.len()
+        );
+        let _ = s.significant(1e-3).unwrap();
+        assert_eq!(s.dp_runs(), runs, "memoized levels run no DP");
     }
 
     #[test]

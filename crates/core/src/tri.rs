@@ -4,6 +4,8 @@
 //! cell `[i, j]` (with `0 ≤ i ≤ j < |T|`) corresponds to the interval
 //! `T_(i,j)` (§III.E "Data Structure"). Storage is row-major over rows `i`,
 //! so the temporal-cut inner loop `pIC[i, k]` for growing `k` is unit-stride.
+//! The loop's other operand, `pIC[k+1, j]`, runs down column `j`; the DP
+//! keeps it in a `TriColumns` mirror, where columns are contiguous.
 
 /// Dense upper-triangular matrix over intervals of `0..n`.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,6 +89,37 @@ impl<T: Copy + Default> TriMatrix<T> {
     }
 }
 
+/// Column-major upper-triangular matrix over intervals of `0..n`: column
+/// `j` holds the cells `[0, j], [1, j], …, [j, j]` contiguously.
+#[derive(Debug)]
+pub(crate) struct TriColumns<T> {
+    data: Vec<T>,
+}
+
+impl<T: Copy + Default> TriColumns<T> {
+    /// Create an `n × n` matrix filled with `T::default()`.
+    pub fn new(n: usize) -> Self {
+        assert!(n >= 1, "interval matrix needs at least one slice");
+        Self {
+            data: vec![T::default(); n * (n + 1) / 2],
+        }
+    }
+
+    /// Contiguous column segment `[0..=j, j]`, indexed by row.
+    #[inline]
+    pub fn column(&self, j: usize) -> &[T] {
+        let start = j * (j + 1) / 2;
+        &self.data[start..start + j + 1]
+    }
+
+    /// Overwrite cell `[i, j]`.
+    #[inline]
+    pub fn set(&mut self, i: usize, j: usize, v: T) {
+        debug_assert!(i <= j, "bad interval [{i}, {j}]");
+        self.data[j * (j + 1) / 2 + i] = v;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +159,23 @@ mod tests {
         let r = m.row_mut(0);
         r[3] = 99.0;
         assert_eq!(m.get(0, 3), 99.0);
+    }
+
+    #[test]
+    fn columns_mirror_the_row_major_matrix() {
+        let n = 6;
+        let mut rows = TriMatrix::<u32>::new(n);
+        let mut cols = TriColumns::<u32>::new(n);
+        for i in 0..n {
+            for j in i..n {
+                rows.set(i, j, (i * 10 + j) as u32);
+                cols.set(i, j, (i * 10 + j) as u32);
+            }
+        }
+        for j in 0..n {
+            let expected: Vec<u32> = (0..=j).map(|i| rows.get(i, j)).collect();
+            assert_eq!(cols.column(j), expected.as_slice());
+        }
     }
 
     #[test]

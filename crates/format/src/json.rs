@@ -98,8 +98,10 @@ impl Json {
     /// garbage rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -151,9 +153,17 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one hostile line of `[`s
+/// would overflow the stack; no protocol message nests past a handful.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -201,8 +211,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -242,60 +252,70 @@ impl<'a> Parser<'a> {
             .map_err(|_| format!("invalid number {token:?} at byte {start}"))
     }
 
+    /// Parse one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth >= MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
+    }
+
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             let rest = self.bytes.get(self.pos..).unwrap_or_default();
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".into());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let esc = rest.get(1).copied().ok_or("unterminated escape")?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err("invalid low surrogate".into());
-                                }
-                                0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(c).ok_or("invalid \\u escape")?);
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, so the run ends on a char boundary of `text`.
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(
+                self.text
+                    .get(self.pos..self.pos + run)
+                    .ok_or("non-utf8 string")?,
+            );
+            self.pos += run;
+            if rest.get(run) == Some(&b'"') {
+                self.pos += 1;
+                return Ok(out);
+            }
+            let esc = rest.get(run + 1).copied().ok_or("unterminated escape")?;
+            self.pos += 2;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let c = if (0xd800..0xdc00).contains(&hi) {
+                        // Surrogate pair.
+                        self.expect(b'\\')?;
+                        self.expect(b'u')?;
+                        let lo = self.hex4()?;
+                        if !(0xdc00..0xe000).contains(&lo) {
+                            return Err("invalid low surrogate".into());
                         }
-                        other => return Err(format!("invalid escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (`rest` is non-empty:
-                    // `first()` matched above).
-                    let s = std::str::from_utf8(rest).map_err(|_| "non-utf8 string")?;
-                    let Some(c) = s.chars().next() else {
-                        return Err("unterminated string".into());
+                        0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+                    } else {
+                        hi
                     };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push(char::from_u32(c).ok_or("invalid \\u escape")?);
                 }
+                other => return Err(format!("invalid escape \\{}", other as char)),
             }
         }
     }
@@ -1393,5 +1413,67 @@ mod tests {
             decode_wire_request("{\"v\":1,\"trace\":\"\",\"config\":{\"slices\":30,\"metric\":\"states\",\"memory\":\"auto\"},\"request\":{\"kind\":\"stats\"}}"),
             Err(QueryError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_protocol_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(matches!(
+            decode_wire_request(&deep),
+            Err(QueryError::Protocol(_))
+        ));
+        // The same inside a well-formed envelope, through objects.
+        let line = format!(
+            "{{\"v\":1,\"trace\":\"t\",\"config\":{}}}",
+            "{\"a\":".repeat(1_000_000)
+        );
+        assert!(matches!(
+            decode_wire_request(&line),
+            Err(QueryError::Protocol(_))
+        ));
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(Json::parse(&over).is_err());
+        // Siblings do not add up: depth is per path, not per document.
+        let inner = format!("{}{}", "[".repeat(MAX_DEPTH - 1), "]".repeat(MAX_DEPTH - 1));
+        let wide = format!("[{inner},{inner},{inner}]");
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn megabyte_string_field_round_trips_byte_exact() {
+        // Multibyte scalars, every escape the encoder emits, and long
+        // plain runs: decoding copies runs, so this is linear in size.
+        let unit = "plain ascii run, é ü ß 漢字 🦀 \"quoted\" back\\slash\n\r\t\u{1}\u{1f} ";
+        let mut big = String::new();
+        while big.len() < (1 << 20) {
+            big.push_str(unit);
+        }
+        let reply = AnalysisReply::Describe(DescribeReply {
+            shape: ModelShape {
+                n_leaves: 1,
+                n_slices: 1,
+                n_states: 2,
+                metric: "states".into(),
+                t_start: 0.0,
+                t_end: 1.0,
+            },
+            hierarchy_nodes: 1,
+            hierarchy_depth: 0,
+            states: vec![big.clone(), "idle".into()],
+            backend: big,
+        });
+        let line = encode_reply(&Ok(reply.clone()));
+        assert!(line.len() > 2 << 20);
+        let back = decode_reply(&line).unwrap();
+        assert_eq!(back, Ok(reply));
+        assert_eq!(encode_reply(&back), line);
     }
 }
